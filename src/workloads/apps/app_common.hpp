@@ -54,6 +54,18 @@ pow2Floor(std::uint32_t v)
  * paper tunes per loop; this value was best for our loop bodies. */
 inline constexpr std::uint32_t kSwPrefetchDistance = 8;
 
+/**
+ * Iterations i of a loop over [0, @p len) that also prefetch, i.e.
+ * satisfy i + @p distance < len. Kernels use it to reserve their
+ * exact per-core access counts.
+ */
+inline std::uint64_t
+swPrefetchIters(std::uint32_t len,
+                std::uint32_t distance = kSwPrefetchDistance)
+{
+    return len > distance ? len - distance : 0;
+}
+
 } // namespace impsim
 
 #endif // IMPSIM_WORKLOADS_APPS_APP_COMMON_HPP

@@ -18,6 +18,7 @@ makeLsh(const WorkloadParams &p)
     const std::uint32_t queries = scaled(4096, p.scale, 128);
     const std::uint32_t cands_per_query = 10;
     constexpr std::uint32_t kVecBytes = 16; // 4-dim float vectors.
+    constexpr std::uint32_t kPfDistance = 4; // Candidates ahead.
 
     Rng rng(p.seed);
     // Candidate positions (C) and the id remap table (B).
@@ -52,8 +53,15 @@ makeLsh(const WorkloadParams &p)
         kPcPf,
     };
 
+    // Per query: the query load, three loads per candidate and three
+    // more per prefetching candidate.
+    const std::uint64_t per_query =
+        1 + 3 * std::uint64_t{cands_per_query} +
+        (p.swPrefetch ? 3 * swPrefetchIters(cands_per_query, kPfDistance)
+                      : 0);
     for (std::uint32_t c = 0; c < p.numCores; ++c) {
         Range r = coreSlice(queries, p.numCores, c);
+        tb.reserve(c, per_query * r.size());
         for (std::uint32_t q = r.begin; q < r.end; ++q) {
             // Hashing the query: compute-heavy, local data.
             tb.load(c, kPcQuery, query_a + q * std::uint64_t{kVecBytes},
@@ -63,10 +71,10 @@ makeLsh(const WorkloadParams &p)
             for (std::uint32_t k = kb; k < ke; ++k) {
                 std::size_t cp = tb.load(c, kPcCand, cand_a + k * 4ull,
                                          4, AccessType::Stream, 1);
-                if (p.swPrefetch && k + 4 < ke) {
+                if (p.swPrefetch && k + kPfDistance < ke) {
                     // Two dependent loads are needed to compute the
                     // prefetch address of a two-level indirection.
-                    std::uint32_t kd = k + 4;
+                    std::uint32_t kd = k + kPfDistance;
                     tb.load(c, kPcCandPf, cand_a + kd * 4ull, 4,
                             AccessType::Stream, 1);
                     tb.load(c, kPcIdmapPf,

@@ -39,6 +39,21 @@ makePagerank(const WorkloadParams &p)
         kPcPf,
     };
 
+    // Per iteration each vertex emits its row_ptr load, three loads
+    // per edge (two more on prefetching edges), the rank_new store and
+    // the swap pass's load and store.
+    for (std::uint32_t c = 0; c < p.numCores; ++c) {
+        Range r = coreSlice(vertices, p.numCores, c);
+        std::uint64_t n =
+            4 * std::uint64_t{r.size()} +
+            3 * std::uint64_t{g.rowPtr[r.end] - g.rowPtr[r.begin]};
+        if (p.swPrefetch) {
+            for (std::uint32_t v = r.begin; v < r.end; ++v)
+                n += 2 * swPrefetchIters(g.rowDegree(v));
+        }
+        tb.reserve(c, iterations * n);
+    }
+
     for (std::uint32_t iter = 0; iter < iterations; ++iter) {
         if (iter > 0)
             tb.barrier();

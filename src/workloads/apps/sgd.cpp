@@ -58,6 +58,10 @@ makeSgd(const WorkloadParams &p)
 
     for (std::uint32_t c = 0; c < p.numCores; ++c) {
         Range r = coreSlice(ratings, p.numCores, c);
+        // Seven accesses per rating, four more per prefetching one.
+        tb.reserve(c, 7 * std::uint64_t{r.size()} +
+                          (p.swPrefetch ? 4 * swPrefetchIters(r.size())
+                                        : 0));
         for (std::uint32_t n = r.begin; n < r.end; ++n) {
             std::size_t up = tb.load(c, kPcUid, uid_a + n * 4ull, 4,
                                      AccessType::Stream, 2);

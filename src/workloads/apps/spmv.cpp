@@ -36,6 +36,16 @@ makeSpmv(const WorkloadParams &p)
 
     for (std::uint32_t c = 0; c < p.numCores; ++c) {
         Range r = coreSlice(rows, p.numCores, c);
+        // Per row: the row_ptr load and y store, three loads per
+        // nonzero and two more per prefetching nonzero.
+        std::uint64_t n =
+            2 * std::uint64_t{r.size()} +
+            3 * std::uint64_t{m.rowPtr[r.end] - m.rowPtr[r.begin]};
+        if (p.swPrefetch) {
+            for (std::uint32_t row = r.begin; row < r.end; ++row)
+                n += 2 * swPrefetchIters(m.rowDegree(row));
+        }
+        tb.reserve(c, n);
         for (std::uint32_t row = r.begin; row < r.end; ++row) {
             tb.load(c, kPcRowPtr, row_ptr + (row + 1) * 4ull, 4,
                     AccessType::Stream, 2);

@@ -27,6 +27,8 @@ makeStreaming(const WorkloadParams &p)
 
     for (std::uint32_t c = 0; c < p.numCores; ++c) {
         Range r = coreSlice(elems, p.numCores, c);
+        // Three accesses per element, then one in the reduction.
+        tb.reserve(c, 4 * std::uint64_t{r.size()});
         for (std::uint32_t i = r.begin; i < r.end; ++i) {
             tb.load(c, kPcB, b + i * 8ull, 8, AccessType::Stream, 1);
             tb.load(c, kPcC, c_arr + i * 8ull, 8, AccessType::Stream, 1);

@@ -27,6 +27,15 @@ enum : std::uint32_t {
     kPcPf,
 };
 
+/** Accesses emitRow() emits for @p row. */
+std::uint64_t
+rowAccesses(const Csr &m, std::uint32_t row, bool sw_prefetch)
+{
+    std::uint32_t deg = m.rowDegree(row);
+    return 3 + 3 * std::uint64_t{deg} +
+           (sw_prefetch ? 2 * swPrefetchIters(deg) : 0);
+}
+
 /** Emits one smoother row update. */
 void
 emitRow(TraceBuilder &tb, std::uint32_t c, const Csr &m, Addr row_ptr,
@@ -75,26 +84,39 @@ makeSymgs(const WorkloadParams &p)
     Addr x = tb.allocArray("x", std::uint64_t{rows} * 8);
     Addr b = tb.allocArray("b", std::uint64_t{rows} * 8);
 
+    // Level scheduling (Park et al.): each color is a contiguous block
+    // of rows, split contiguously over cores, so threads stream
+    // through their rows. For each offset i of its slice, core c
+    // updates row cbase + i in the forward sweep and row
+    // cbase + per_color - 1 - i in the backward one, in every color.
+    const std::uint32_t per_color = rows / kColors;
+    for (std::uint32_t c = 0; c < p.numCores; ++c) {
+        Range r = coreSlice(per_color, p.numCores, c);
+        std::uint64_t n = 0;
+        for (std::uint32_t color = 0; color < kColors; ++color) {
+            std::uint32_t cbase = color * per_color;
+            for (std::uint32_t i = r.begin; i < r.end; ++i) {
+                n += rowAccesses(m, cbase + i, p.swPrefetch) +
+                     rowAccesses(m, cbase + per_color - 1 - i,
+                                 p.swPrefetch);
+            }
+        }
+        tb.reserve(c, n);
+    }
+
     for (int sweep = 0; sweep < 2; ++sweep) {
         bool backward = sweep == 1;
         for (std::uint32_t color = 0; color < kColors; ++color) {
             if (sweep != 0 || color != 0)
                 tb.barrier();
+            std::uint32_t cbase = color * per_color;
             for (std::uint32_t c = 0; c < p.numCores; ++c) {
-                // Level scheduling (Park et al.): each color is a
-                // contiguous block of rows, split contiguously over
-                // cores, so threads stream through their rows.
-                std::uint32_t per_color = rows / kColors;
-                std::uint32_t cbase = color * per_color;
                 Range r = coreSlice(per_color, p.numCores, c);
                 for (std::uint32_t i = r.begin; i < r.end; ++i) {
                     std::uint32_t idx =
                         backward ? per_color - 1 - i : i;
-                    std::uint32_t row = cbase + idx;
-                    if (row >= rows)
-                        continue;
-                    emitRow(tb, c, m, row_ptr, col, val, x, b, row,
-                            backward, p.swPrefetch);
+                    emitRow(tb, c, m, row_ptr, col, val, x, b,
+                            cbase + idx, backward, p.swPrefetch);
                 }
             }
         }

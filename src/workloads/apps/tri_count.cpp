@@ -10,6 +10,24 @@
 
 namespace impsim {
 
+namespace {
+
+/**
+ * Prefetching iterations of the two-way unrolled intersect loop over
+ * [@p begin, @p end): even k with k + kSwPrefetchDistance < end.
+ */
+std::uint64_t
+evenPrefetchIters(std::uint32_t begin, std::uint32_t end)
+{
+    std::uint64_t b = begin;
+    if (end <= b + kSwPrefetchDistance)
+        return 0;
+    std::uint64_t stop = end - kSwPrefetchDistance;
+    return (stop + 1) / 2 - (b + 1) / 2; // even k in [b, stop)
+}
+
+} // namespace
+
 Workload
 makeTriCount(const WorkloadParams &p)
 {
@@ -41,13 +59,32 @@ makeTriCount(const WorkloadParams &p)
         kPcPf,
     };
 
+    // Spread sources over the graph deterministically.
+    auto source_vertex = [vertices](std::uint32_t s) {
+        return static_cast<std::uint32_t>((std::uint64_t{s} * 2654435761u) %
+                                          vertices);
+    };
+
     for (std::uint32_t c = 0; c < p.numCores; ++c) {
         Range r = coreSlice(sources, p.numCores, c);
+        // Per source u: its row_ptr load, four accesses per neighbor v
+        // to mark and clear, and per v a row_ptr load, two accesses
+        // per edge of v and two more per prefetching edge.
+        std::uint64_t n = 0;
         for (std::uint32_t s = r.begin; s < r.end; ++s) {
-            // Spread sources over the graph deterministically.
-            std::uint32_t u =
-                static_cast<std::uint32_t>((std::uint64_t{s} * 2654435761u)
-                                           % vertices);
+            std::uint32_t u = source_vertex(s);
+            n += 1 + 4 * std::uint64_t{g.rowDegree(u)};
+            for (std::uint32_t j = g.rowPtr[u]; j < g.rowPtr[u + 1]; ++j) {
+                std::uint32_t v = g.col[j];
+                n += 1 + 2 * std::uint64_t{g.rowDegree(v)};
+                if (p.swPrefetch)
+                    n += 2 * evenPrefetchIters(g.rowPtr[v], g.rowPtr[v + 1]);
+            }
+        }
+        tb.reserve(c, n);
+
+        for (std::uint32_t s = r.begin; s < r.end; ++s) {
+            std::uint32_t u = source_vertex(s);
             std::uint32_t ub = g.rowPtr[u], ue = g.rowPtr[u + 1];
             tb.load(c, kPcRowPtrU, row_ptr + (u + 1) * 4ull, 4,
                     AccessType::Other, 4);

@@ -47,26 +47,24 @@ makeRmatGraph(std::uint32_t num_vertices, std::uint32_t num_edges,
     Rng rng(seed);
     int levels = floorLog2(num_vertices);
 
+    // Quadrant boundaries of [0, 1): a | b | c | d. The source bit is
+    // set in c and d, the destination bit in b and d. Comparing each
+    // draw against all three boundaries without branching yields the
+    // same bits as an if-chain over them, which mispredicts on most
+    // draws.
+    const double ab = p.a + p.b;
+    const double abc = p.a + p.b + p.c;
     std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
     edges.reserve(num_edges);
     for (std::uint32_t e = 0; e < num_edges; ++e) {
         std::uint32_t src = 0, dst = 0;
         for (int l = 0; l < levels; ++l) {
             double r = rng.uniform();
-            std::uint32_t sbit, dbit;
-            if (r < p.a) {
-                sbit = 0;
-                dbit = 0;
-            } else if (r < p.a + p.b) {
-                sbit = 0;
-                dbit = 1;
-            } else if (r < p.a + p.b + p.c) {
-                sbit = 1;
-                dbit = 0;
-            } else {
-                sbit = 1;
-                dbit = 1;
-            }
+            bool past_a = r >= p.a;
+            bool past_ab = r >= ab;
+            bool past_abc = r >= abc;
+            std::uint32_t sbit = past_a & past_ab;
+            std::uint32_t dbit = past_a & (!past_ab | past_abc);
             src = (src << 1) | sbit;
             dst = (dst << 1) | dbit;
         }

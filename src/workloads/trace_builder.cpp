@@ -22,64 +22,6 @@ TraceBuilder::allocArray(const std::string &name, std::uint64_t bytes)
     return alloc_.alloc(name, bytes);
 }
 
-std::size_t
-TraceBuilder::emit(std::uint32_t core, MemAccess a)
-{
-    IMPSIM_CHECK(core < numCores_, "core out of range");
-    if (barrierPending_[core]) {
-        a.flags |= kFlagBarrierBefore;
-        barrierPending_[core] = 0;
-    }
-    auto &t = traces_[core].accesses;
-    t.push_back(a);
-    return t.size() - 1;
-}
-
-std::size_t
-TraceBuilder::load(std::uint32_t core, std::uint32_t pc, Addr addr,
-                   std::uint8_t size, AccessType type, std::uint32_t gap,
-                   std::uint32_t dep)
-{
-    MemAccess a;
-    a.addr = addr;
-    a.pc = pc;
-    a.gap = gap;
-    a.dep = dep;
-    a.size = size;
-    a.type = type;
-    return emit(core, a);
-}
-
-std::size_t
-TraceBuilder::store(std::uint32_t core, std::uint32_t pc, Addr addr,
-                    std::uint8_t size, AccessType type, std::uint32_t gap,
-                    std::uint32_t dep)
-{
-    MemAccess a;
-    a.addr = addr;
-    a.pc = pc;
-    a.gap = gap;
-    a.dep = dep;
-    a.size = size;
-    a.flags = kFlagWrite;
-    a.type = type;
-    return emit(core, a);
-}
-
-std::size_t
-TraceBuilder::swPrefetch(std::uint32_t core, std::uint32_t pc, Addr addr,
-                         std::uint32_t gap)
-{
-    MemAccess a;
-    a.addr = addr;
-    a.pc = pc;
-    a.gap = gap;
-    a.size = 4;
-    a.flags = kFlagSwPrefetch;
-    a.type = AccessType::Other;
-    return emit(core, a);
-}
-
 void
 TraceBuilder::barrier()
 {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/func_mem.hpp"
+#include "common/logging.hpp"
 #include "common/virt_alloc.hpp"
 #include "cpu/trace.hpp"
 
@@ -45,22 +46,47 @@ class TraceBuilder
     }
 
     /**
+     * Reserves room for @p n accesses in total on @p core. Kernels
+     * reserve their exact per-core count before emitting, so no trace
+     * buffer regrows (the reservation test in test_workloads pins it).
+     */
+    void
+    reserve(std::uint32_t core, std::size_t n)
+    {
+        IMPSIM_CHECK(core < numCores_, "core out of range");
+        traces_[core].accesses.reserve(n);
+    }
+
+    /**
      * Emits a load for @p core.
      * @param dep back-distance to the access producing this address
      * @return index of the emitted access in the core's trace
      */
-    std::size_t load(std::uint32_t core, std::uint32_t pc, Addr addr,
-                     std::uint8_t size, AccessType type,
-                     std::uint32_t gap, std::uint32_t dep = 0);
+    std::size_t
+    load(std::uint32_t core, std::uint32_t pc, Addr addr,
+         std::uint8_t size, AccessType type, std::uint32_t gap,
+         std::uint32_t dep = 0)
+    {
+        return emit(core, {addr, pc, gap, dep, size, 0, type});
+    }
 
     /** Emits a store. */
-    std::size_t store(std::uint32_t core, std::uint32_t pc, Addr addr,
-                      std::uint8_t size, AccessType type,
-                      std::uint32_t gap, std::uint32_t dep = 0);
+    std::size_t
+    store(std::uint32_t core, std::uint32_t pc, Addr addr,
+          std::uint8_t size, AccessType type, std::uint32_t gap,
+          std::uint32_t dep = 0)
+    {
+        return emit(core, {addr, pc, gap, dep, size, kFlagWrite, type});
+    }
 
     /** Emits a software prefetch instruction. */
-    std::size_t swPrefetch(std::uint32_t core, std::uint32_t pc,
-                           Addr addr, std::uint32_t gap);
+    std::size_t
+    swPrefetch(std::uint32_t core, std::uint32_t pc, Addr addr,
+               std::uint32_t gap)
+    {
+        return emit(core,
+                    {addr, pc, gap, 0, 4, kFlagSwPrefetch, AccessType::Other});
+    }
 
     /** Index the next emitted access for @p core will occupy. */
     std::size_t
@@ -86,7 +112,18 @@ class TraceBuilder
     std::shared_ptr<FuncMem> memPtr() const { return mem_; }
 
   private:
-    std::size_t emit(std::uint32_t core, MemAccess a);
+    std::size_t
+    emit(std::uint32_t core, MemAccess a)
+    {
+        IMPSIM_CHECK(core < numCores_, "core out of range");
+        if (barrierPending_[core]) {
+            a.flags |= kFlagBarrierBefore;
+            barrierPending_[core] = 0;
+        }
+        auto &t = traces_[core].accesses;
+        t.push_back(a);
+        return t.size() - 1;
+    }
 
     std::uint32_t numCores_;
     std::shared_ptr<FuncMem> mem_;

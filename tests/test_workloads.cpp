@@ -4,6 +4,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <iterator>
+
+#include "common/intmath.hpp"
+#include "common/rng.hpp"
 #include "core/addr_gen.hpp"
 #include "workloads/graph_gen.hpp"
 #include "workloads/sparse_matrix.hpp"
@@ -48,6 +52,84 @@ TEST(GraphGen, Deterministic)
     EXPECT_EQ(a.col, b.col);
     Csr c = makeRmatGraph(1024, 4096, 8);
     EXPECT_NE(a.col, c.col);
+}
+
+/** The if-chain RMAT quadrant pick makeRmatGraph() must reproduce. */
+Csr
+referenceRmatGraph(std::uint32_t num_vertices, std::uint32_t num_edges,
+                   std::uint64_t seed, const RmatParams &p)
+{
+    Rng rng(seed);
+    int levels = floorLog2(num_vertices);
+    std::vector<std::uint32_t> src(num_edges), dst(num_edges);
+    for (std::uint32_t e = 0; e < num_edges; ++e) {
+        std::uint32_t s = 0, d = 0;
+        for (int l = 0; l < levels; ++l) {
+            double r = rng.uniform();
+            std::uint32_t sbit, dbit;
+            if (r < p.a) {
+                sbit = 0;
+                dbit = 0;
+            } else if (r < p.a + p.b) {
+                sbit = 0;
+                dbit = 1;
+            } else if (r < p.a + p.b + p.c) {
+                sbit = 1;
+                dbit = 0;
+            } else {
+                sbit = 1;
+                dbit = 1;
+            }
+            s = (s << 1) | sbit;
+            d = (d << 1) | dbit;
+        }
+        src[e] = s;
+        dst[e] = d;
+    }
+    Csr g;
+    g.numRows = num_vertices;
+    g.numCols = num_vertices;
+    g.rowPtr.assign(std::size_t{num_vertices} + 1, 0);
+    for (std::uint32_t s : src)
+        ++g.rowPtr[s + 1];
+    for (std::uint32_t v = 0; v < num_vertices; ++v)
+        g.rowPtr[v + 1] += g.rowPtr[v];
+    g.col.resize(num_edges);
+    std::vector<std::uint32_t> cursor(g.rowPtr.begin(), g.rowPtr.end() - 1);
+    for (std::uint32_t e = 0; e < num_edges; ++e)
+        g.col[cursor[src[e]]++] = dst[e];
+    g.sortRows();
+    return g;
+}
+
+TEST(GraphGen, RmatMatchesIfChainReference)
+{
+    // Non-default a, then b != c so that confusing the two quadrant
+    // boundaries shows.
+    RmatParams skewed;
+    skewed.a = 0.45;
+    skewed.b = 0.15;
+    skewed.c = 0.15;
+    RmatParams lopsided = skewed;
+    lopsided.b = 0.25;
+    for (const RmatParams &params : {RmatParams{}, skewed, lopsided}) {
+        for (std::uint64_t seed : {1ull, 42ull, 0xdeadbeefull}) {
+            for (auto [v, e] : {std::pair<std::uint32_t, std::uint32_t>{
+                                    1, 16},
+                                {64, 256},
+                                {1024, 8192},
+                                {16384, 65536}}) {
+                Csr got = makeRmatGraph(v, e, seed, params);
+                Csr want = referenceRmatGraph(v, e, seed, params);
+                EXPECT_EQ(got.rowPtr, want.rowPtr)
+                    << "a=" << params.a << " b=" << params.b
+                    << " seed=" << seed << " v=" << v;
+                EXPECT_EQ(got.col, want.col)
+                    << "a=" << params.a << " b=" << params.b
+                    << " seed=" << seed << " v=" << v;
+            }
+        }
+    }
 }
 
 TEST(SparseMatrix, BandedWellFormedWithDiagonal)
@@ -258,6 +340,129 @@ TEST(Workloads, StreamingHasNoIndirect)
     for (const auto &t : w.traces)
         for (const auto &a : t.accesses)
             EXPECT_NE(a.type, AccessType::Indirect);
+}
+
+/** FNV-1a 64 fed with each value's little-endian bytes. */
+class Fnv1a
+{
+  public:
+    template <typename T>
+    void
+    add(T v)
+    {
+        auto bits = static_cast<std::uint64_t>(v);
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            byte(static_cast<std::uint8_t>(bits >> (8 * i)));
+    }
+
+    void
+    byte(std::uint8_t b)
+    {
+        h_ = (h_ ^ b) * 0x100000001b3ull;
+    }
+
+    std::uint64_t value() const { return h_; }
+
+  private:
+    std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+/** Every generated byte: all access fields, tails and the image. */
+std::uint64_t
+workloadFingerprint(const Workload &w)
+{
+    Fnv1a h;
+    h.add(w.traces.size());
+    for (const auto &t : w.traces) {
+        h.add(t.accesses.size());
+        for (const auto &a : t.accesses) {
+            h.add(a.addr);
+            h.add(a.pc);
+            h.add(a.gap);
+            h.add(a.dep);
+            h.add(a.size);
+            h.add(a.flags);
+            h.add(static_cast<std::uint8_t>(a.type));
+        }
+        h.add(t.tailInstructions);
+    }
+    w.mem->forEachPage([&h](Addr base, const std::uint8_t *bytes) {
+        h.add(base);
+        for (std::uint32_t i = 0; i < FuncMem::kPageBytes; ++i)
+            h.byte(bytes[i]);
+    });
+    return h.value();
+}
+
+TEST(Workloads, GenerationFingerprintIsPinned)
+{
+    // Pins every generated byte, so generator speed-ups must keep the
+    // output identical. Regenerate only for an intended change.
+    struct Pin
+    {
+        AppId app;
+        bool swPrefetch;
+        std::uint64_t fingerprint;
+    };
+    const Pin pins[] = {
+        {AppId::Pagerank, false, 0x9d58e29310c5dbd7ull},
+        {AppId::Pagerank, true, 0xe9818c0504b475d4ull},
+        {AppId::TriCount, false, 0xc624d20d64544ad3ull},
+        {AppId::TriCount, true, 0xcead61eb3b572716ull},
+        {AppId::Graph500, false, 0xaadd91cc00dc13f8ull},
+        {AppId::Graph500, true, 0x9f2c398942b45f86ull},
+        {AppId::Sgd, false, 0xf70f68d26028afe4ull},
+        {AppId::Sgd, true, 0xbd1eedf816d4ef9dull},
+        {AppId::Lsh, false, 0xee8355e0648e8af9ull},
+        {AppId::Lsh, true, 0xee0b2449cf217a3eull},
+        {AppId::Spmv, false, 0x5aead24b6823d8a1ull},
+        {AppId::Spmv, true, 0xa820ace9e13411a3ull},
+        {AppId::Symgs, false, 0xace3b8d476b57ba7ull},
+        {AppId::Symgs, true, 0x47fcb11423bd9efbull},
+        {AppId::Streaming, false, 0x920b6e5c7a3b6ebdull},
+        {AppId::Streaming, true, 0x920b6e5c7a3b6ebdull},
+    };
+    ASSERT_EQ(std::size(pins), kAllApps.size() * 2);
+    for (const Pin &pin : pins) {
+        WorkloadParams p;
+        p.numCores = 4;
+        p.scale = 0.1;
+        p.seed = 42;
+        p.swPrefetch = pin.swPrefetch;
+        std::uint64_t got = workloadFingerprint(makeWorkload(pin.app, p));
+        EXPECT_EQ(got, pin.fingerprint)
+            << appName(pin.app) << " swPrefetch=" << pin.swPrefetch
+            << " got 0x" << std::hex << got;
+    }
+}
+
+TEST(Workloads, KernelsReserveExactPerCoreCounts)
+{
+    // Every kernel but graph500 (whose counts follow the BFS visit
+    // order) reserves each core's exact access count before emitting,
+    // so no trace buffer regrows during generation.
+    for (AppId app : kAllApps) {
+        if (app == AppId::Graph500)
+            continue;
+        for (std::uint32_t cores : {1u, 4u, 16u}) {
+            for (bool swpf : {false, true}) {
+                for (double scale : {0.05, 0.25}) {
+                    WorkloadParams p;
+                    p.numCores = cores;
+                    p.swPrefetch = swpf;
+                    p.scale = scale;
+                    Workload w = makeWorkload(app, p);
+                    for (std::uint32_t c = 0; c < cores; ++c) {
+                        const auto &acc = w.traces[c].accesses;
+                        EXPECT_EQ(acc.capacity(), acc.size())
+                            << appName(app) << " cores=" << cores
+                            << " swPrefetch=" << swpf
+                            << " scale=" << scale << " core " << c;
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(Workloads, NamesRoundTrip)
